@@ -1,22 +1,22 @@
-//! Benchmarks for the paper's verification evaluation (§VI-A/B/C/D,
-//! experiments E8, E9, E11, E12): generate every protocol and model-check
-//! it at the paper's 3-cache bound, reporting explored states and wall
-//! time (the paper's Murϕ runs exhausted memory beyond 3 caches; ours
-//! complete in seconds thanks to symmetry reduction).
+//! The paper's verification evaluation (§VI-A/B/C/D, experiments E8, E9,
+//! E11, E12): generate every protocol and model-check it at the paper's
+//! 3-cache bound, reporting explored states and wall time (the paper's
+//! Murϕ runs exhausted memory beyond 3 caches; ours complete in seconds
+//! thanks to symmetry reduction). The table and the 2-cache timing
+//! medians go to `BENCH_paper_eval.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use protogen_bench::{write_report, Json, Timings};
 use protogen_core::{generate, GenConfig};
 use protogen_mc::{McConfig, ModelChecker, PropertySet};
-use std::hint::black_box;
 
-fn verify_all(c: &mut Criterion) {
+fn main() {
     println!("\n=== §VI: full verification sweep at 3 caches ===");
     println!(
         "{:<14} {:<13} {:>6} {:>6} {:>10} {:>8} {:>8}",
         "protocol", "config", "cache", "dir", "explored", "result", "time"
     );
-    let mut group = c.benchmark_group("verify_3_caches");
-    group.sample_size(10);
+    let mut t = Timings::new(10);
+    let mut rows = Vec::new();
     for ssp in protogen_protocols::all() {
         for (label, cfg) in
             [("stalling", GenConfig::stalling()), ("non-stalling", GenConfig::non_stalling())]
@@ -37,20 +37,26 @@ fn verify_all(c: &mut Criterion) {
                 r.seconds
             );
             assert!(r.passed(), "{} {label}: {:?}", ssp.name, r.violation);
-            // Benchmark the cheaper 2-cache exploration so the suite stays
+            rows.push(Json::obj([
+                ("protocol", Json::Str(ssp.name.clone())),
+                ("config", Json::Str(label.into())),
+                ("cache_states", Json::U64(g.cache.state_count() as u64)),
+                ("dir_states", Json::U64(g.directory.state_count() as u64)),
+                ("explored", Json::U64(r.states as u64)),
+                ("passed", Json::Bool(r.passed())),
+                ("seconds", Json::F64(r.seconds)),
+            ]));
+            // Time the cheaper 2-cache exploration so the suite stays
             // fast; the 3-cache numbers above are the reported result.
-            let mut small = mc_cfg.clone();
+            let mut small = mc_cfg;
             small.n_caches = 2;
-            group.bench_function(format!("{}/{label}", ssp.name), |b| {
-                b.iter(|| {
-                    let mc = ModelChecker::new(&g.cache, &g.directory, small.clone());
-                    black_box(mc.run())
-                })
+            t.time(&format!("verify_2_caches/{}/{label}", ssp.name), || {
+                ModelChecker::new(&g.cache, &g.directory, small.clone()).run()
             });
         }
     }
-    group.finish();
+    write_report(
+        "BENCH_paper_eval.json",
+        &Json::obj([("verify_3_caches", Json::Arr(rows)), ("median_us", t.into_json())]),
+    );
 }
-
-criterion_group!(eval, verify_all);
-criterion_main!(eval);

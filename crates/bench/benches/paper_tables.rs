@@ -1,67 +1,51 @@
-//! Benchmarks regenerating the paper's tables and figures (E1–E7, E13, E14
-//! of DESIGN.md). Each harness first prints the reproduced artifact, then
-//! measures the generation machinery behind it. §VI-E reports generation
-//! runtimes "well less than one second"; these benches quantify ours.
+//! Regenerates the paper's tables and figures (E1–E7, E13, E14 of
+//! DESIGN.md). Each section first prints the reproduced artifact, then
+//! times the generation machinery behind it; §VI-E reports generation
+//! runtimes "well less than one second", and these timings quantify ours.
+//! The medians and the §VI-E state counts go to `BENCH_paper_tables.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use protogen_backend::{render_ssp_table, render_table, TableOptions};
+use protogen_bench::{write_report, Json, Timings};
 use protogen_core::{generate, preprocess, GenConfig};
 use protogen_spec::MachineKind;
-use std::hint::black_box;
 
-fn table1_2_atomic_msi(c: &mut Criterion) {
-    let ssp = protogen_protocols::msi();
+fn main() {
+    let mut t = Timings::new(20);
+
+    let msi = protogen_protocols::msi();
     println!("\n=== Table I: atomic MSI cache specification ===");
-    println!("{}", render_ssp_table(&ssp, MachineKind::Cache));
+    println!("{}", render_ssp_table(&msi, MachineKind::Cache));
     println!("=== Table II: atomic MSI directory specification ===");
-    println!("{}", render_ssp_table(&ssp, MachineKind::Directory));
-    c.bench_function("table1_2/render_atomic_msi", |b| {
-        b.iter(|| {
-            black_box(render_ssp_table(&ssp, MachineKind::Cache));
-            black_box(render_ssp_table(&ssp, MachineKind::Directory));
-        })
+    println!("{}", render_ssp_table(&msi, MachineKind::Directory));
+    t.time("table1_2/render_atomic_msi", || {
+        (render_ssp_table(&msi, MachineKind::Cache), render_ssp_table(&msi, MachineKind::Directory))
     });
-}
 
-fn table3_4_preprocess_mosi(c: &mut Criterion) {
-    let ssp = protogen_protocols::mosi();
-    let (_, renames) = preprocess(&ssp).unwrap();
+    let mosi = protogen_protocols::mosi();
+    let (_, renames) = preprocess(&mosi).unwrap();
     println!("\n=== Tables III/IV: MOSI preprocessing ===");
     for r in &renames {
         println!("  {} -> {} (arrives at {})", r.original, r.renamed, r.state);
     }
-    c.bench_function("table3_4/preprocess_mosi", |b| {
-        b.iter(|| black_box(preprocess(&ssp).unwrap()))
-    });
-}
+    t.time("table3_4/preprocess_mosi", || preprocess(&mosi).unwrap());
 
-fn table5_step2(c: &mut Criterion) {
-    let ssp = protogen_protocols::msi();
-    let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
+    let g = generate(&msi, &GenConfig::non_stalling()).unwrap();
     println!("\n=== Table V: transient states of the I->M transaction ===");
     for name in ["IM_AD", "IM_A"] {
         let id = g.cache.state_by_name(name).unwrap();
         println!("  {name}: {:?} perm", g.cache.state(id).perm);
     }
-    c.bench_function("table5/generate_msi_step2", |b| {
-        b.iter(|| black_box(generate(&ssp, &GenConfig::non_stalling()).unwrap()))
-    });
-}
+    t.time("table5/generate_msi_step2", || generate(&msi, &GenConfig::non_stalling()).unwrap());
 
-fn table6_nonstalling_msi(c: &mut Criterion) {
-    let ssp = protogen_protocols::msi();
-    let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
     println!("\n=== Table VI: generated non-stalling MSI cache controller ===");
     println!("{}", g.report);
     println!("{}", render_table(&g.cache, &TableOptions::default()));
-    c.bench_function("table6/generate_nonstalling_msi", |b| {
-        b.iter(|| black_box(generate(&ssp, &GenConfig::non_stalling()).unwrap()))
+    t.time("table6/generate_nonstalling_msi", || {
+        generate(&msi, &GenConfig::non_stalling()).unwrap()
     });
-}
 
-fn sec6e_generation_runtime(c: &mut Criterion) {
     println!("\n=== §VI-E: generation runtime for every protocol (paper: <1s) ===");
-    let mut group = c.benchmark_group("sec6e_generation");
+    let mut generation = Vec::new();
     for ssp in protogen_protocols::all() {
         for (label, cfg) in
             [("stalling", GenConfig::stalling()), ("non-stalling", GenConfig::non_stalling())]
@@ -76,31 +60,30 @@ fn sec6e_generation_runtime(c: &mut Criterion) {
                 g.directory.state_count(),
                 start.elapsed()
             );
-            group.bench_function(format!("{}/{label}", ssp.name), |b| {
-                b.iter(|| black_box(generate(&ssp, &cfg).unwrap()))
+            generation.push(Json::obj([
+                ("protocol", Json::Str(ssp.name.clone())),
+                ("config", Json::Str(label.into())),
+                ("cache_states", Json::U64(g.cache.state_count() as u64)),
+                ("dir_states", Json::U64(g.directory.state_count() as u64)),
+            ]));
+            t.time(&format!("sec6e_generation/{}/{label}", ssp.name), || {
+                generate(&ssp, &cfg).unwrap()
             });
         }
     }
-    group.finish();
-}
 
-fn sec5d_upgrade_reinterpretation(c: &mut Criterion) {
-    let ssp = protogen_protocols::msi_upgrade();
-    let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
+    let upgrade = protogen_protocols::msi_upgrade();
+    let g = generate(&upgrade, &GenConfig::non_stalling()).unwrap();
     println!("\n=== §V-D1: Upgrade reinterpretation rules ===");
     for r in &g.report.reinterpretations {
         println!("  {} treated as {} at directory {}", r.original, r.treated_as, r.dir_state);
     }
-    c.bench_function("sec5d/generate_msi_upgrade", |b| {
-        b.iter(|| black_box(generate(&ssp, &GenConfig::non_stalling()).unwrap()))
+    t.time("sec5d/generate_msi_upgrade", || {
+        generate(&upgrade, &GenConfig::non_stalling()).unwrap()
     });
-}
 
-criterion_group! {
-    name = tables;
-    config = Criterion::default().sample_size(20);
-    targets = table1_2_atomic_msi, table3_4_preprocess_mosi, table5_step2,
-              table6_nonstalling_msi, sec6e_generation_runtime,
-              sec5d_upgrade_reinterpretation
+    write_report(
+        "BENCH_paper_tables.json",
+        &Json::obj([("generation", Json::Arr(generation)), ("median_us", t.into_json())]),
+    );
 }
-criterion_main!(tables);

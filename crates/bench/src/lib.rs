@@ -1,18 +1,19 @@
 //! Shared infrastructure for the bench harnesses in `benches/`, plus the
 //! harness index.
 //!
-//! Each bench regenerates one of the paper's tables or figures (DESIGN.md
-//! §5) and then measures the machinery behind it. `mc_scaling` and
-//! `sim_scaling` additionally write machine-readable reports
-//! (`BENCH_mc.json`, `BENCH_sim.json`) for the nightly CI regression
-//! gates; both go through this crate's one report writer and baseline
-//! checker rather than hand-rolling their serialization.
+//! Each bench is a plain `harness = false` main: it regenerates one of
+//! the paper's tables or figures (DESIGN.md §5), then measures the
+//! machinery behind it. Every bench that writes a machine-readable report
+//! (`BENCH_mc.json`, `BENCH_sim.json`, `BENCH_paper_eval.json`, …) goes
+//! through this crate's one report writer, and the nightly CI gates go
+//! through its one baseline checker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use protogen_sim::Json;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The workspace root (two levels above this crate's manifest).
 pub fn workspace_root() -> PathBuf {
@@ -135,6 +136,42 @@ pub fn enforce_scaling(
                 true
             }
         },
+    }
+}
+
+/// Median wall-clock timings of named bench bodies, gathered into one
+/// report object (`{"name": median_us, ...}`).
+#[derive(Debug)]
+pub struct Timings {
+    samples: usize,
+    medians: Json,
+}
+
+impl Timings {
+    /// Times every body over `samples` runs (at least one).
+    pub fn new(samples: usize) -> Self {
+        Timings { samples: samples.max(1), medians: Json::Obj(Vec::new()) }
+    }
+
+    /// Runs `body` once per sample, prints its median and records it in
+    /// microseconds under `name`.
+    pub fn time<O>(&mut self, name: &str, mut body: impl FnMut() -> O) {
+        let mut times: Vec<Duration> = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(body());
+                start.elapsed()
+            })
+            .collect();
+        times.sort();
+        let median = times[times.len() / 2];
+        println!("bench {name:<40} median {median:>12?} over {} samples", times.len());
+        self.medians.push(name, Json::F64(median.as_secs_f64() * 1e6));
+    }
+
+    /// The `{"name": median_us}` object of everything timed so far.
+    pub fn into_json(self) -> Json {
+        self.medians
     }
 }
 
@@ -333,6 +370,17 @@ pub fn enforce_baseline(baseline_path: &Path, checks: &[BaselineCheck]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn timings_run_each_body_once_per_sample() {
+        let mut t = Timings::new(3);
+        let mut runs = 0;
+        t.time("count", || runs += 1);
+        assert_eq!(runs, 3);
+        let Json::Obj(entries) = t.into_json() else { panic!("timings are an object") };
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].0, "count");
+    }
 
     #[test]
     fn scaling_gate_fails_rather_than_skips_when_enforcement_is_unsatisfiable() {

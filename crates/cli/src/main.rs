@@ -176,10 +176,6 @@ impl Args {
     }
 }
 
-fn protocol(name: &str) -> Option<Ssp> {
-    protogen_protocols::by_name(name)
-}
-
 fn gen_config(args: &Args) -> GenConfig {
     if args.flag("stalling") {
         GenConfig::stalling()
@@ -364,7 +360,7 @@ fn build_composition(
     let mut out = Vec::new();
     for level in levels {
         let (label, proto, fanout) = level?;
-        let ssp = protocol(&proto).ok_or(format!(
+        let ssp = protogen_protocols::by_name(&proto).ok_or(format!(
             "unknown protocol `{proto}` in composition (try msi, mesi, mosi, msi-upgrade, \
              msi-unordered, tso-cc, si-sd)"
         ))?;
@@ -1031,7 +1027,7 @@ fn litmus_cmd(args: &Args, threads: usize) -> ExitCode {
     let ssps: Vec<Ssp> = if which == "all" {
         protogen_protocols::all()
     } else {
-        match protocol(which) {
+        match protogen_protocols::by_name(which) {
             Some(ssp) => vec![ssp],
             None => {
                 eprintln!(
@@ -1150,7 +1146,7 @@ fn main() -> ExitCode {
                 eprintln!("usage: protogen {cmd} <protocol> [flags]");
                 return ExitCode::from(2);
             };
-            let Some(ssp) = protocol(name) else {
+            let Some(ssp) = protogen_protocols::by_name(name) else {
                 eprintln!(
                     "unknown protocol `{name}` (try msi, mesi, mosi, msi-upgrade, \
                      msi-unordered, tso-cc, si-sd)"

@@ -36,6 +36,8 @@ pub enum TokenKind {
     Comma,
     /// `=`
     Eq,
+    /// `-` (inside hyphenated protocol names)
+    Dash,
     /// `->` (done target)
     Arrow,
     /// `=>` (wait target)
@@ -59,6 +61,7 @@ impl fmt::Display for TokenKind {
             TokenKind::Colon => f.write_str("`:`"),
             TokenKind::Comma => f.write_str("`,`"),
             TokenKind::Eq => f.write_str("`=`"),
+            TokenKind::Dash => f.write_str("`-`"),
             TokenKind::Arrow => f.write_str("`->`"),
             TokenKind::FatArrow => f.write_str("`=>`"),
             TokenKind::AndAnd => f.write_str("`&&`"),
@@ -159,6 +162,10 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, String> {
                 push!(TokenKind::Arrow);
                 i += 2;
                 col += 2;
+            }
+            '-' => {
+                push!(TokenKind::Dash);
+                advance(&mut i, &mut col);
             }
             '=' if i + 1 < n && bytes[i + 1] == '>' => {
                 push!(TokenKind::FatArrow);

@@ -35,32 +35,31 @@ pub use render::render;
 use std::error::Error;
 use std::fmt;
 
-/// The bundled MSI protocol source (equivalent to
-/// `protogen_protocols::msi()`).
+// The bundled protocol sources. Each file is the only definition of its
+// protocol: `protogen_protocols::msi()` and the rest parse these.
+
+/// The MSI protocol of the paper's Tables I/II (`protogen_protocols::msi()`).
 pub const MSI_PGEN: &str = include_str!("../protocols/msi.pgen");
 
-/// The bundled MESI protocol source (equivalent to
-/// `protogen_protocols::mesi()`).
+/// MESI with an exclusive-clean state (`protogen_protocols::mesi()`).
 pub const MESI_PGEN: &str = include_str!("../protocols/mesi.pgen");
 
-/// The bundled MOSI protocol source (equivalent to
-/// `protogen_protocols::mosi()`) — the paper's preprocessing example.
+/// MOSI, the paper's preprocessing example (`protogen_protocols::mosi()`).
 pub const MOSI_PGEN: &str = include_str!("../protocols/mosi.pgen");
 
-/// The bundled MSI+Upgrade protocol source (§V-D1's reinterpretation
-/// example; equivalent to `protogen_protocols::msi_upgrade()`).
+/// MSI+Upgrade, §V-D1's reinterpretation example
+/// (`protogen_protocols::msi_upgrade()`).
 pub const MSI_UPGRADE_PGEN: &str = include_str!("../protocols/msi_upgrade.pgen");
 
-/// The bundled MSI-for-unordered-networks source (§VI-C's handshake
-/// protocol; equivalent to `protogen_protocols::msi_unordered()`).
+/// MSI for unordered networks, §VI-C's handshake protocol
+/// (`protogen_protocols::msi_unordered()`).
 pub const MSI_UNORDERED_PGEN: &str = include_str!("../protocols/msi_unordered.pgen");
 
-/// The bundled simplified TSO-CC source (§VI-D; equivalent to
-/// `protogen_protocols::tso_cc()`).
+/// Simplified TSO-CC, §VI-D (`protogen_protocols::tso_cc()`).
 pub const TSO_CC_PGEN: &str = include_str!("../protocols/tso_cc.pgen");
 
-/// The bundled self-invalidate/self-downgrade source (VIPS-M family;
-/// equivalent to `protogen_protocols::si_sd()`).
+/// Self-invalidate/self-downgrade, VIPS-M family
+/// (`protogen_protocols::si_sd()`).
 pub const SI_SD_PGEN: &str = include_str!("../protocols/si_sd.pgen");
 
 /// Front-end errors.

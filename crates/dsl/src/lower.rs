@@ -60,7 +60,9 @@ pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
         messages.push(decl);
     }
 
-    let lower_states = |decls: &[StateDecl]| -> Result<Vec<StableDecl>, LowerError> {
+    // The directory always holds the memory copy, so its stable states
+    // carry valid data whatever they declare (as `SspBuilder::dir_state`).
+    let lower_states = |decls: &[StateDecl], dir: bool| -> Result<Vec<StableDecl>, LowerError> {
         decls
             .iter()
             .map(|d| {
@@ -73,7 +75,7 @@ pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
                 Ok(StableDecl {
                     name: d.name.clone(),
                     perm,
-                    data_valid: d.data || perm != Perm::None,
+                    data_valid: dir || d.data || perm != Perm::None,
                 })
             })
             .collect()
@@ -89,8 +91,8 @@ pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
         consistency,
         si_epoch: spec.si_epoch,
     };
-    ssp.cache.states = lower_states(&spec.cache_states)?;
-    ssp.directory.states = lower_states(&spec.dir_states)?;
+    ssp.cache.states = lower_states(&spec.cache_states, false)?;
+    ssp.directory.states = lower_states(&spec.dir_states, true)?;
 
     let cache_entries = lower_procs(&ssp, MachineKind::Cache, &spec.cache_procs)?;
     ssp.cache.entries = cache_entries;

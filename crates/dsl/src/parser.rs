@@ -75,11 +75,16 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
     let toks = tokenize(src).map_err(ParseError)?;
     let mut p = Parser { toks, pos: 0 };
 
-    // protocol NAME;
+    // protocol NAME; where NAME may be hyphenated (`MSI-Upgrade`)
     if !p.eat_ident("protocol") {
         return Err(ParseError(format!("expected `protocol` header at {}", p.here())));
     }
-    let name = p.ident()?;
+    let mut name = p.ident()?;
+    while *p.peek() == TokenKind::Dash {
+        p.bump();
+        name.push('-');
+        name.push_str(&p.ident()?);
+    }
     p.expect(&TokenKind::Semi)?;
 
     let mut spec = Spec {
@@ -459,6 +464,16 @@ mod tests {
         assert_eq!(proc_.awaits.len(), 2);
         assert_eq!(proc_.awaits[0].whens[1].target, WhenTarget::Wait("A".into()));
         assert_eq!(proc_.awaits[0].whens[1].guards, vec!["acks_incomplete"]);
+    }
+
+    #[test]
+    fn protocol_names_may_be_hyphenated() {
+        let spec = parse("protocol MSI-Upgrade;").unwrap();
+        assert_eq!(spec.name, "MSI-Upgrade");
+        assert_eq!(parse("protocol SI-SD-v;").unwrap().name, "SI-SD-v");
+        // A dash must join two name parts, and only the header takes one.
+        assert!(parse("protocol MSI-;").is_err());
+        assert!(parse("protocol MSI; cache { state I-X; }").is_err());
     }
 
     #[test]

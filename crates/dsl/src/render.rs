@@ -143,10 +143,10 @@ mod tests {
             ("MSI", crate::MSI_PGEN),
             ("MESI", crate::MESI_PGEN),
             ("MOSI", crate::MOSI_PGEN),
-            ("MSI_Upgrade", crate::MSI_UPGRADE_PGEN),
-            ("MSI_unordered", crate::MSI_UNORDERED_PGEN),
-            ("TSO_CC", crate::TSO_CC_PGEN),
-            ("SI_SD", crate::SI_SD_PGEN),
+            ("MSI-Upgrade", crate::MSI_UPGRADE_PGEN),
+            ("MSI-unordered", crate::MSI_UNORDERED_PGEN),
+            ("TSO-CC", crate::TSO_CC_PGEN),
+            ("SI-SD", crate::SI_SD_PGEN),
         ] {
             let ast = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
             let rendered = render(&ast);

@@ -149,8 +149,7 @@ impl SimResult {
 /// 2-space-indented with a trailing newline at the document root.
 ///
 /// This is the serialization layer the whole workspace's JSON artifacts go
-/// through (`BENCH_*.json`, sweep cells); the types stay `serde`-derive
-/// ready for the day the real crates replace the `compat/` stand-ins.
+/// through (`BENCH_*.json`, sweep cells).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `true` / `false`.

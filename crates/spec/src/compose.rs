@@ -16,7 +16,6 @@
 use crate::error::SpecError;
 use crate::ssp::{Access, Perm, Trigger};
 use crate::Ssp;
-use serde::{Deserialize, Serialize};
 
 /// The largest fanout a level may declare: the directory sharer list is a
 /// `u8` bitmask, so one subnet can track at most 8 children.
@@ -24,7 +23,7 @@ pub const MAX_FANOUT: usize = 8;
 
 /// One level of a composition: a protocol plus how many children each of
 /// its directories serves.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelSpec {
     /// Display label for the level (`"l1"`, `"llc"`, …).
     pub label: String,
@@ -37,7 +36,7 @@ pub struct LevelSpec {
 /// A stack of protocol levels, leaf-first: `levels[0]` runs between the
 /// leaf caches and the innermost directories, `levels.last()` between the
 /// outermost caches and the single root directory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Composition {
     /// Composition name, e.g. `"msi_under_mesi"`.
     pub name: String,

@@ -5,13 +5,10 @@ use crate::guard::Guard;
 use crate::ids::{MsgId, StableId};
 use crate::msg::MsgDecl;
 use crate::ssp::{Access, MachineKind, Perm};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a state in a generated [`Fsm`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FsmStateId(pub u32);
 
 impl FsmStateId {
@@ -33,7 +30,7 @@ impl fmt::Display for FsmStateId {
 }
 
 /// An event a generated FSM reacts to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Event {
     /// A core access.
     Access(Access),
@@ -51,7 +48,7 @@ impl fmt::Display for Event {
 }
 
 /// Whether an arc consumes its event or stalls it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArcKind {
     /// The event is consumed and the actions performed.
     Normal,
@@ -61,7 +58,7 @@ pub enum ArcKind {
 }
 
 /// Provenance of an arc, recorded for reporting and table rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArcNote {
     /// Copied directly from the SSP (stable-state behaviour).
     Ssp,
@@ -113,7 +110,7 @@ impl fmt::Display for ArcNote {
 }
 
 /// A transition of a generated FSM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Arc {
     /// Source state.
     pub from: FsmStateId,
@@ -132,7 +129,7 @@ pub struct Arc {
 }
 
 /// One processed-forward record in a transient state's deferral chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainLink {
     /// The forwarded request that was processed.
     pub forward: MsgId,
@@ -145,7 +142,7 @@ pub struct ChainLink {
 }
 
 /// Metadata of a transient state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransientMeta {
     /// Initial stable state of the pending own transaction (after any
     /// Case 1 restart, this is the restarted state).
@@ -175,7 +172,7 @@ impl TransientMeta {
 }
 
 /// Classification of a state of a generated FSM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsmStateKind {
     /// One of the SSP's stable states.
     Stable(StableId),
@@ -184,7 +181,7 @@ pub enum FsmStateKind {
 }
 
 /// How a state treats a given access, summarized for table rendering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessSummary {
     /// The access is performed locally ("hit").
     Hit,
@@ -197,7 +194,7 @@ pub enum AccessSummary {
 }
 
 /// A state of a generated FSM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsmState {
     /// Human-readable name (`"M"`, `"IM_AD"`, `"IM_A_S"`, …).
     pub name: String,
@@ -248,7 +245,7 @@ impl FsmState {
 
 /// A complete generated controller: all states (stable and transient) and
 /// all transitions, directly executable by `protogen-runtime`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fsm {
     /// Protocol name this FSM was generated from.
     pub protocol: String,

@@ -1,6 +1,5 @@
 //! Message type declarations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The role a message type plays in the protocol.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The classification mirrors §III-A of the paper: a coherence transaction
 /// consists of an initial *request*, zero or more directory-*forwarded*
 /// requests, and one or more *responses* (data or acknowledgments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgClass {
     /// Cache → directory initial request (GetS, GetM, PutM, Upgrade, …).
     Request,
@@ -38,7 +37,7 @@ impl fmt::Display for MsgClass {
 /// requests. The ProtoGen paper leaves virtual-channel assignment to the
 /// user (§IV-C); the builder assigns the conventional network per class and
 /// allows overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VirtualNet {
     /// Carries initial requests.
     Request,
@@ -75,7 +74,7 @@ impl fmt::Display for VirtualNet {
 }
 
 /// Declaration of one message type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgDecl {
     /// Message name, e.g. `"GetS"`, `"Fwd_GetM"`, `"Inv_Ack"`.
     pub name: String,

@@ -3,11 +3,10 @@
 use crate::action::Action;
 use crate::guard::Guard;
 use crate::ids::{MsgId, StableId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which controller a machine specification describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineKind {
     /// A private cache controller.
     Cache,
@@ -25,7 +24,7 @@ impl fmt::Display for MachineKind {
 }
 
 /// A core-issued access (§III-A: load, store, or replacement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Access {
     /// A read.
     Load,
@@ -60,7 +59,7 @@ impl fmt::Display for Access {
 }
 
 /// Coherence permission granted by a cache state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Perm {
     /// No access permitted (I and directory states).
     None,
@@ -96,7 +95,7 @@ impl fmt::Display for Perm {
 }
 
 /// Declaration of one stable state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StableDecl {
     /// State name, e.g. `"M"`.
     pub name: String,
@@ -114,7 +113,7 @@ pub struct StableDecl {
 /// earn. SC protocols keep per-access SWMR; TSO protocols may buffer stores
 /// behind stale shared copies but never reorder them; weak protocols only
 /// promise eventual coherence at self-invalidation/self-downgrade points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryModel {
     /// Sequential consistency: physical SWMR plus data-value coherence.
     Sc,
@@ -155,7 +154,7 @@ impl std::str::FromStr for MemoryModel {
 /// survives generation (as an `ArcNote`) so memory-model tooling (the litmus
 /// harness) can distinguish "the protocol may drop this copy at any sync
 /// point" from an ordinary capacity eviction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EntryNote {
     /// An ordinary demand transition (the default for every entry).
     #[default]
@@ -177,7 +176,7 @@ impl fmt::Display for EntryNote {
 }
 
 /// What causes an SSP entry to fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trigger {
     /// A core access (cache machines only).
     Access(Access),
@@ -195,7 +194,7 @@ impl fmt::Display for Trigger {
 }
 
 /// Target of a wait-chain arc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaitTo {
     /// Move to another await point in the same chain.
     Wait(usize),
@@ -204,7 +203,7 @@ pub enum WaitTo {
 }
 
 /// One labelled arc out of an await point: "when *msg* \[guard\]: actions".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaitArc {
     /// The awaited message type.
     pub msg: MsgId,
@@ -221,7 +220,7 @@ pub struct WaitArc {
 /// Each await point becomes one transient state during generation (Step 2 of
 /// §V-C): the `tag` is the naming hint, so the await point of an I→M
 /// transaction tagged `"AD"` becomes the transient state `IM_AD`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaitNode {
     /// Naming tag (`"D"`, `"AD"`, `"A"`, …), conventionally the initials of
     /// the awaited message classes.
@@ -231,7 +230,7 @@ pub struct WaitNode {
 }
 
 /// The await structure of a transaction. Node 0 is the entry point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaitChain {
     /// Await points; index 0 is entered when the request is issued.
     pub nodes: Vec<WaitNode>,
@@ -256,7 +255,7 @@ impl WaitChain {
 }
 
 /// The effect of an SSP entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Effect {
     /// The trigger is handled locally and (optionally) atomically changes
     /// the stable state: cache hits, silent upgrades, and all single-step
@@ -279,7 +278,7 @@ pub enum Effect {
 
 /// One row-cell of the SSP tables: in `state`, on `trigger` (and `guard`),
 /// do `effect`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SspEntry {
     /// The stable state the entry applies to.
     pub state: StableId,
@@ -294,7 +293,7 @@ pub struct SspEntry {
 }
 
 /// The SSP of a single machine (cache or directory).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSsp {
     /// Which controller this is.
     pub kind: MachineKind,

@@ -1,10 +1,9 @@
 //! Cross-protocol conformance matrix.
 //!
-//! Every bundled protocol — from the programmatic builders *and* from the
-//! bundled DSL sources — must, in both concurrency configurations,
-//! generate successfully and pass the model checker at 2 caches for the
-//! full invariant set: SWMR, the data-value invariant, deadlock freedom,
-//! and completeness. TSO-CC trades physical SWMR and data-value freshness
+//! Every bundled protocol (each parsed from its `.pgen` source) must, in
+//! both concurrency configurations, generate successfully and pass the
+//! model checker at 2 caches for the full invariant set: SWMR, the
+//! data-value invariant, deadlock freedom, and completeness. TSO-CC trades physical SWMR and data-value freshness
 //! by design (§VI-D), so its row checks the invariants TSO-CC actually
 //! promises (single writer at the directory's owner, deadlock freedom,
 //! completeness) and separately asserts the traded invariants *do* fail —
@@ -31,85 +30,27 @@ fn mc_config_for(ssp: &Ssp) -> McConfig {
     mc
 }
 
-fn assert_conformance(ssp: &Ssp, origin: &str) {
+fn assert_conformance(ssp: &Ssp) {
     for cfg in [GenConfig::stalling(), GenConfig::non_stalling()] {
         let g = generate(ssp, &cfg)
-            .unwrap_or_else(|e| panic!("{} [{origin}] ({}): {e}", ssp.name, config_label(&cfg)));
+            .unwrap_or_else(|e| panic!("{} ({}): {e}", ssp.name, config_label(&cfg)));
         let r = ModelChecker::new(&g.cache, &g.directory, mc_config_for(ssp)).run();
-        assert!(r.passed(), "{} [{origin}] ({}): {:?}", ssp.name, config_label(&cfg), r.violation);
-        assert!(r.states > 0, "{} [{origin}]: checker explored no states", ssp.name);
+        assert!(r.passed(), "{} ({}): {:?}", ssp.name, config_label(&cfg), r.violation);
+        assert!(r.states > 0, "{}: checker explored no states", ssp.name);
     }
 }
 
-/// The builder matrix: every `protogen::protocols::all()` entry × both
-/// concurrency configurations generates and verifies at 2 caches.
+/// The matrix: every bundled protocol, parsed from its `.pgen` source,
+/// carries its declared name and generates and verifies at 2 caches in
+/// both concurrency configurations — the full §IV-A input path.
 #[test]
-fn all_builder_protocols_conform() {
+fn all_protocols_conform() {
     let protocols = protogen::protocols::all();
-    assert_eq!(protocols.len(), 7, "the bundled protocol suite grew or shrank");
-    for ssp in &protocols {
-        assert_conformance(ssp, "builder");
-    }
-}
-
-/// The DSL matrix: every bundled `.pgen` source parses, generates, and
-/// verifies at 2 caches in both configurations — the full §IV-A input
-/// path, not just the three protocols the equivalence tests cover.
-#[test]
-fn all_dsl_protocols_conform() {
-    for (name, src) in [
-        ("MSI", protogen::dsl::MSI_PGEN),
-        ("MESI", protogen::dsl::MESI_PGEN),
-        ("MOSI", protogen::dsl::MOSI_PGEN),
-        ("MSI_Upgrade", protogen::dsl::MSI_UPGRADE_PGEN),
-        ("MSI_unordered", protogen::dsl::MSI_UNORDERED_PGEN),
-        ("TSO_CC", protogen::dsl::TSO_CC_PGEN),
-        ("SI_SD", protogen::dsl::SI_SD_PGEN),
-    ] {
-        let ssp = protogen::dsl::parse_protocol(src)
-            .unwrap_or_else(|e| panic!("bundled {name} source: {e}"));
+    let names = ["MSI", "MESI", "MOSI", "MSI-Upgrade", "MSI-unordered", "TSO-CC", "SI-SD"];
+    assert_eq!(protocols.len(), names.len(), "the bundled protocol suite grew or shrank");
+    for (ssp, name) in protocols.iter().zip(names) {
         assert_eq!(ssp.name, name, "bundled source name drifted");
-        assert_conformance(&ssp, "dsl");
-    }
-}
-
-/// Builder and DSL front-ends agree for *every* bundled protocol: same
-/// generated state and transition counts for both machines in both
-/// configurations.
-#[test]
-fn dsl_and_builder_agree_for_every_protocol() {
-    for (built, src) in [
-        (protogen::protocols::msi(), protogen::dsl::MSI_PGEN),
-        (protogen::protocols::mesi(), protogen::dsl::MESI_PGEN),
-        (protogen::protocols::mosi(), protogen::dsl::MOSI_PGEN),
-        (protogen::protocols::msi_upgrade(), protogen::dsl::MSI_UPGRADE_PGEN),
-        (protogen::protocols::msi_unordered(), protogen::dsl::MSI_UNORDERED_PGEN),
-        (protogen::protocols::tso_cc(), protogen::dsl::TSO_CC_PGEN),
-        (protogen::protocols::si_sd(), protogen::dsl::SI_SD_PGEN),
-    ] {
-        let from_dsl = protogen::dsl::parse_protocol(src).unwrap();
-        for cfg in [GenConfig::stalling(), GenConfig::non_stalling()] {
-            let g1 = generate(&from_dsl, &cfg).unwrap();
-            let g2 = generate(&built, &cfg).unwrap();
-            for (m1, m2, which) in
-                [(&g1.cache, &g2.cache, "cache"), (&g1.directory, &g2.directory, "directory")]
-            {
-                assert_eq!(
-                    m1.state_count(),
-                    m2.state_count(),
-                    "{} ({}) {which} states",
-                    built.name,
-                    config_label(&cfg)
-                );
-                assert_eq!(
-                    m1.transition_count(),
-                    m2.transition_count(),
-                    "{} ({}) {which} transitions",
-                    built.name,
-                    config_label(&cfg)
-                );
-            }
-        }
+        assert_conformance(ssp);
     }
 }
 

@@ -261,26 +261,6 @@ fn e14_upgrade_reinterpretation() {
     assert!(r.passed(), "{:?}", r.violation);
 }
 
-/// The DSL front-end and the programmatic builder produce equivalent
-/// protocols: same generated state space, same verification result.
-#[test]
-fn dsl_and_builder_msi_are_equivalent() {
-    let from_dsl = protogen::dsl::parse_protocol(protogen::dsl::MSI_PGEN).unwrap();
-    let built = protogen::protocols::msi();
-    let g1 = generate(&from_dsl, &GenConfig::non_stalling()).unwrap();
-    let g2 = generate(&built, &GenConfig::non_stalling()).unwrap();
-    assert_eq!(g1.cache.state_count(), g2.cache.state_count());
-    assert_eq!(g1.cache.transition_count(), g2.cache.transition_count());
-    let names = |f: &protogen::spec::Fsm| {
-        let mut v: Vec<String> = f.states.iter().map(|s| s.full_name()).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(names(&g1.cache), names(&g2.cache));
-    let r = ModelChecker::new(&g1.cache, &g1.directory, McConfig::with_caches(2)).run();
-    assert!(r.passed(), "{:?}", r.violation);
-}
-
 /// Every protocol × both concurrency configs verifies at 2 caches — the
 /// full §VI sweep (3-cache runs are in the bench harness; they pass too).
 #[test]
@@ -335,25 +315,6 @@ fn murphi_backend_emits_model() {
     assert!(text.contains("scalarset"));
     assert!(text.contains("invariant \"SWMR\""));
     assert!(text.matches("rule \"").count() > 40);
-}
-
-/// The DSL versions of MESI and MOSI generate the same machines as the
-/// programmatic builders and verify — full front-end coverage of the
-/// protocol suite (the paper's input path, §IV-A).
-#[test]
-fn dsl_mesi_and_mosi_are_equivalent() {
-    for (src, built) in [
-        (protogen::dsl::MESI_PGEN, protogen::protocols::mesi()),
-        (protogen::dsl::MOSI_PGEN, protogen::protocols::mosi()),
-    ] {
-        let from_dsl = protogen::dsl::parse_protocol(src).unwrap();
-        let g1 = generate(&from_dsl, &GenConfig::non_stalling()).unwrap();
-        let g2 = generate(&built, &GenConfig::non_stalling()).unwrap();
-        assert_eq!(g1.cache.state_count(), g2.cache.state_count(), "{}", built.name);
-        assert_eq!(g1.directory.state_count(), g2.directory.state_count(), "{}", built.name);
-        let r = ModelChecker::new(&g1.cache, &g1.directory, McConfig::with_caches(2)).run();
-        assert!(r.passed(), "{}: {:?}", built.name, r.violation);
-    }
 }
 
 /// The Conservative transient-access policy (stall everything, §V-E's
